@@ -70,7 +70,7 @@ class TelemetryScope {
   /// run_training (run_scaled sequences its own runs), so the next run's
   /// spans start after this one on the shared timeline.
   void advance_timeline(double seconds) {
-    tel_.set_time_offset(tel_.tracer.time_offset() + seconds);
+    tel_.advance_time_offset(util::Seconds{seconds});
   }
 
   /// Writes the trace/metrics files (idempotent; never throws — a failed
@@ -130,8 +130,7 @@ inline ScaledResult run_scaled(const ddnn::ClusterSpec& cluster, const ddnn::Wor
     // Sequence the next instrumented run after this one (unscaled window
     // time — that is how long the recorded spans actually cover). The
     // bundle call keeps the journal clock on the same composed timeline.
-    auto* tel = options.telemetry;
-    tel->set_time_offset(tel->tracer.time_offset() + out.run.total_time);
+    options.telemetry->advance_time_offset(util::Seconds{out.run.total_time});
   }
   out.scale = static_cast<double>(full_iterations) / out.simulated_iterations;
   out.run.total_time *= out.scale;

@@ -355,7 +355,7 @@ double provision_for_telemetry(telemetry::Telemetry& tel, cloud::BillingMeter& b
     plan.n_ps = n_ps;
     manager.deploy(plan);
   }
-  tel.set_time_offset(psim.now());
+  tel.advance_time_offset(util::Seconds{psim.now()});
   return psim.now();
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -11,20 +10,10 @@
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cynthia::core {
 
 namespace {
-
-/// Shared pool for independent candidate evaluations. One per process: the
-/// planner is called from many contexts (service front-end, sentinel,
-/// benches) and per-call pool construction would dwarf a sub-millisecond
-/// search. Tasks are pure (no simulator state), so sharing is safe.
-util::ThreadPool& planner_pool() {
-  static util::ThreadPool pool;
-  return pool;
-}
 
 /// Self-timing scope for the operator-facing planner-latency metric. Like
 /// orchestrator/service.cpp, this wall-clock read never feeds simulated
@@ -126,8 +115,8 @@ std::string ProvisionPlan::describe() const {
 }
 
 /// Per-instance-type search result: the type's local best candidate plus
-/// the trace and counters its scan produced. Reduced in catalog order so
-/// the merged outcome is bit-identical to one serial scan.
+/// the trace and counters its scan produced. Reduced in catalog order with
+/// a strict `<`, so the first of equally cheap types wins.
 struct Provisioner::TypeSearch {
   bool has_best = false;
   CandidateEvaluation best;
@@ -197,40 +186,6 @@ std::optional<CandidateEvaluation> Provisioner::evaluate(const cloud::InstanceTy
   return c;
 }
 
-template <class SearchFn>
-std::vector<Provisioner::TypeSearch> Provisioner::run_type_searches(
-    SearchFn&& search, std::size_t estimated_candidates, const ProvisionOptions& options) const {
-  std::vector<TypeSearch> results(types_.size());
-  const auto threshold =
-      static_cast<std::size_t>(std::max(1, options.parallel_min_candidates));
-  const bool parallel =
-      options.parallel_eval && types_.size() > 1 && estimated_candidates >= threshold;
-  if (parallel) {
-    auto& pool = planner_pool();
-    std::vector<std::future<TypeSearch>> futures;
-    futures.reserve(types_.size());
-    for (std::size_t i = 0; i < types_.size(); ++i) {
-      futures.push_back(pool.submit([&search, i] { return search(i); }));
-    }
-    // Drain every task before rethrowing: the search closures reference this
-    // call's stack, so unwinding while siblings still run would dangle.
-    // Rethrowing the lowest-index failure matches the serial scan, which
-    // throws at the first offending type.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < types_.size(); ++i) {
-      try {
-        results[i] = futures[i].get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    for (std::size_t i = 0; i < types_.size(); ++i) results[i] = search(i);
-  }
-  return results;
-}
-
 void Provisioner::publish_trace_and_stats(std::vector<TypeSearch>& results,
                                           const ProvisionOptions& options) const {
   std::uint64_t evaluated = 0, pruned = 0;
@@ -245,7 +200,7 @@ void Provisioner::publish_trace_and_stats(std::vector<TypeSearch>& results,
   pruned_.fetch_add(pruned, std::memory_order_relaxed);
 
   // Deterministic emission order: catalog order, then each type's own scan
-  // order — identical whether the searches ran serially or in parallel.
+  // order.
   std::lock_guard lock(considered_mutex_);
   considered_.clear();
   if (options.keep_trace) {
@@ -417,12 +372,8 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     return out;
   };
 
-  const std::size_t estimated =
-      options.exhaustive
-          ? types_.size() * static_cast<std::size_t>(options.exhaustive_max_ps) *
-                static_cast<std::size_t>(options.exhaustive_max_workers)
-          : types_.size() * static_cast<std::size_t>(options.max_extra_ps + 1) * 16;
-  std::vector<TypeSearch> results = run_type_searches(search_type, estimated, options);
+  std::vector<TypeSearch> results(types_.size());
+  for (std::size_t ti = 0; ti < types_.size(); ++ti) results[ti] = search_type(ti);
 
   ProvisionPlan best;
   best.feasible = false;
@@ -563,9 +514,8 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
     return out;
   };
 
-  const std::size_t estimated = types_.size() * static_cast<std::size_t>(max_ps) *
-                                static_cast<std::size_t>(std::max(1, max_workers));
-  std::vector<TypeSearch> results = run_type_searches(search_type, estimated, options);
+  std::vector<TypeSearch> results(types_.size());
+  for (std::size_t ti = 0; ti < types_.size(); ++ti) results[ti] = search_type(ti);
 
   ProvisionPlan best;
   best.feasible = false;

@@ -8,11 +8,9 @@
 // The search hot path is engineered for sub-millisecond planning (the SLO
 // sentinel and the multi-tenant service call it thousands of times):
 // perf-model evaluations are memoized in a thread-safe PredictionCache,
-// independent per-type searches fan out across a shared util::ThreadPool
-// with a deterministic reduction (the chosen plan is bit-identical to the
-// serial scan), and provably non-winning grid points are pruned with
-// Theorem 4.1 bound structure plus cost-monotonicity lower bounds (see
-// docs/PERF.md for the safety argument).
+// per-type searches run serially and reduce in catalog order, and provably
+// non-winning grid points are pruned with Theorem 4.1 bound structure plus
+// cost-monotonicity lower bounds (see docs/PERF.md for the safety argument).
 #pragma once
 
 #include <atomic>
@@ -123,17 +121,6 @@ struct ProvisionOptions {
   /// structure + cost monotonicity; docs/PERF.md gives the argument). The
   /// chosen plan is bit-identical with pruning on or off.
   bool prune = true;
-
-  /// Fan independent per-type searches out across the shared planner
-  /// thread pool when the estimated candidate count reaches
-  /// `parallel_min_candidates`. Reduction order is deterministic (catalog
-  /// order, then scan order), so the result is bit-identical to serial.
-  /// The threshold is set where the pool's ~10 us dispatch overhead breaks
-  /// even: warm-cache candidates cost ~15 ns each, so the default-quota
-  /// grids (~768 points) run serial and only large cold exhaustive sweeps
-  /// fan out. Lower it to force the parallel path (stress tests do).
-  bool parallel_eval = true;
-  int parallel_min_candidates = 4096;
 };
 
 /// Durability of a candidate fleet in the revocation-aware search.
@@ -256,9 +243,9 @@ class Provisioner {
                                      const ReplanDegradation& degradation = {}) const;
 
   /// Candidates examined by the last call when keep_trace was set, in
-  /// deterministic emission order (catalog order, then scan order) even
-  /// when candidate evaluation ran in parallel. Mutation is serialized
-  /// internally; read it after the planning call returns.
+  /// deterministic emission order (catalog order, then scan order).
+  /// Mutation is serialized internally; read it after the planning call
+  /// returns.
   [[nodiscard]] const std::vector<CandidateEvaluation>& considered() const {
     return considered_;
   }
@@ -314,13 +301,6 @@ class Provisioner {
                                                             int n_ps, ddnn::SyncMode mode,
                                                             const ProvisionGoal& goal,
                                                             bool use_cache) const;
-
-  /// Runs one search task per instance type — serial or across the shared
-  /// planner pool — and stores traces/stats; reduction happens in catalog
-  /// order either way.
-  template <class SearchFn>
-  std::vector<TypeSearch> run_type_searches(SearchFn&& search, std::size_t estimated_candidates,
-                                            const ProvisionOptions& options) const;
 
   void publish_trace_and_stats(std::vector<TypeSearch>& results,
                                const ProvisionOptions& options) const;

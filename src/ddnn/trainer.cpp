@@ -1447,21 +1447,11 @@ TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workloa
     carried_ptr = &carried;
   }
 
-  telemetry::Telemetry* tel = options.telemetry;
-  double saved_offset = 0.0;
-  if (tel != nullptr) {
-    saved_offset = tel->tracer.time_offset();
-    tel->set_time_offset(saved_offset + cut);
-  }
   TrainResult second;
-  try {
+  {
+    const telemetry::ScopedTimeOffset shift(options.telemetry, util::Seconds{cut});
     second = run_one(cluster, continued, o2);
-  } catch (...) {
-    if (tel != nullptr) tel->set_time_offset(saved_offset);
-    throw;
   }
-  if (tel != nullptr) tel->set_time_offset(saved_offset);
-
   return merge_train_segments(first, second, cut, /*gap_outage_seconds=*/0.0, carried_ptr);
 }
 

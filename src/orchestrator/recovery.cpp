@@ -101,55 +101,6 @@ void record_recovery_instants(telemetry::Telemetry* tel, const RecoveryOptions& 
   }
 }
 
-/// Stitches the pre-crash segment and the resumed segment into one result.
-/// Cluster-shape-dependent fields (utilization, ingress) describe the final
-/// cluster; time and iteration accounting spans the whole job.
-ddnn::TrainResult merge_segments(const ddnn::TrainResult& seg1, long durable,
-                                 const ddnn::TrainResult& seg2, double resume_at,
-                                 double crash_at) {
-  ddnn::TrainResult merged = seg2;
-  merged.iterations = durable + seg2.iterations;
-  merged.total_time = resume_at + seg2.total_time;
-  merged.computation_time = seg1.computation_time + seg2.computation_time;
-  merged.communication_time = seg1.communication_time + seg2.communication_time;
-  merged.avg_iteration_time =
-      merged.iterations > 0 ? merged.total_time / static_cast<double>(merged.iterations) : 0.0;
-
-  // Segment-2 samples are already on the global iteration axis (the trainer
-  // offsets its loss process by the checkpoint); segment-1 samples past the
-  // rollback point describe progress that was lost.
-  merged.loss_curve.clear();
-  for (const auto& sample : seg1.loss_curve) {
-    if (sample.iteration <= durable) merged.loss_curve.push_back(sample);
-  }
-  for (const auto& sample : seg2.loss_curve) merged.loss_curve.push_back(sample);
-  merged.stopped_early = seg2.stopped_early;
-
-  merged.faults = {};
-  merged.faults.injected = seg1.faults.injected + seg2.faults.injected;
-  merged.faults.crashes = seg1.faults.crashes + seg2.faults.crashes;
-  merged.faults.slowdowns = seg1.faults.slowdowns + seg2.faults.slowdowns;
-  merged.faults.nic_degradations =
-      seg1.faults.nic_degradations + seg2.faults.nic_degradations;
-  merged.faults.blips = seg1.faults.blips + seg2.faults.blips;
-  merged.faults.degraded_node_seconds =
-      seg1.faults.degraded_node_seconds + seg2.faults.degraded_node_seconds;
-  merged.faults.lost_iterations = seg1.faults.lost_iterations + seg2.faults.lost_iterations;
-  // The whole crash -> resume window is an outage: training ran nowhere.
-  merged.faults.outage_seconds = seg1.faults.outage_seconds + seg2.faults.outage_seconds +
-                                 (resume_at - crash_at);
-  for (const auto& outcome : seg1.faults.events) {
-    if (outcome.fired) merged.faults.events.push_back(outcome);
-  }
-  for (auto outcome : seg2.faults.events) {
-    outcome.spec.time_seconds += resume_at;
-    if (outcome.fired) outcome.injected_at += resume_at;
-    if (outcome.recovered_at >= 0.0) outcome.recovered_at += resume_at;
-    merged.faults.events.push_back(outcome);
-  }
-  return merged;
-}
-
 }  // namespace
 
 RecoveryController::RecoveryController(RecoveryOptions options) : options_(std::move(options)) {}
@@ -368,7 +319,6 @@ FaultRunReport RecoveryController::elastic_replan(const ddnn::WorkloadSpec& work
     tail.add(shifted);
   }
 
-  double saved_offset = 0.0;
   if (tel != nullptr) {
     const double detected = crash_at + options_.detection_seconds;
     tel->tracer.instant("faults", "detect:" + first_crash->to_string(), "recovery", detected);
@@ -384,8 +334,6 @@ FaultRunReport RecoveryController::elastic_replan(const ddnn::WorkloadSpec& work
                            : "replan infeasible; original shape on fresh nodes");
     tel->journal.event(report.resume_at, telemetry::JournalKind::kMitigation, "elastic-replan",
                        "resume on replacement cluster " + next.type.name);
-    saved_offset = tel->tracer.time_offset();
-    tel->set_time_offset(saved_offset + report.resume_at);
   }
 
   // Segment 2: resume from the checkpoint on the new cluster. The loss
@@ -396,13 +344,19 @@ FaultRunReport RecoveryController::elastic_replan(const ddnn::WorkloadSpec& work
   train2.faults = &tail;
   train2.loss_iteration_offset = durable;
   train2.stop_after_seconds = 0.0;
-  const ddnn::TrainResult seg2 = ddnn::run_training(deployment2.spec, workload, train2);
-  if (tel != nullptr) tel->set_time_offset(saved_offset);
+  ddnn::TrainResult seg2;
+  {
+    const telemetry::ScopedTimeOffset shift(tel, util::Seconds{report.resume_at});
+    seg2 = ddnn::run_training(deployment2.spec, workload, train2);
+  }
 
   record_recovery_instants(tel, options_, report.restore_seconds, seg2,
                            report.replacement_provisioning, 1, report.resume_at);
 
-  report.training = merge_segments(seg1, durable, seg2, report.resume_at, crash_at);
+  // Segment one ends at its durable count, so the shared stitcher's rule
+  // matches the rollback; the whole crash -> resume window is an outage.
+  report.training = ddnn::merge_train_segments(seg1, seg2, report.resume_at,
+                                               report.resume_at - crash_at);
   report.achieved_loss = report.training.final_loss;
 
   // Billing: the original cluster is held until the master declares the node

@@ -372,20 +372,11 @@ SentinelReport SloSentinel::run(const ddnn::WorkloadSpec& workload,
     o.excluded_workers = excluded;
     o.stop_after_seconds = 0.0;
 
-    double saved_offset = 0.0;
-    const bool shift = tel != nullptr && elapsed > 0.0;
-    if (shift) {
-      saved_offset = tel->tracer.time_offset();
-      tel->set_time_offset(saved_offset + elapsed);
-    }
     ddnn::TrainResult seg;
-    try {
+    {
+      const telemetry::ScopedTimeOffset shift(tel, util::Seconds{elapsed});
       seg = ddnn::run_training(cluster, current_workload, o);
-    } catch (...) {
-      if (shift) tel->set_time_offset(saved_offset);
-      throw;
     }
-    if (shift) tel->set_time_offset(saved_offset);
     actions_remaining = detector.actions_remaining();
 
     // run_training services the BSP -> SSP downgrade internally; later

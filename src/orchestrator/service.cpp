@@ -13,30 +13,43 @@ namespace cynthia::orch {
 TrainingService::TrainingService(const cloud::Catalog& catalog, ServiceOptions options)
     : catalog_(&catalog), options_(std::move(options)) {}
 
+struct TrainingService::JobPlanner {
+  util::Seconds profiling_time;
+  core::Provisioner provisioner;
+};
+
+TrainingService::JobPlanner TrainingService::build_planner(
+    const ddnn::WorkloadSpec& workload) const {
+  const auto& baseline = catalog_->at(options_.baseline_type);
+  const core::Predictor predictor =
+      core::Predictor::build(workload, baseline, options_.predictor);
+  auto types = options_.instance_types;
+  if (types.empty()) types = catalog_->provisionable();
+  JobPlanner planner{predictor.profile().profiling_time,
+                     core::Provisioner(predictor.model(), predictor.loss(), std::move(types))};
+  if (telemetry::Telemetry* tel = options_.training.telemetry; tel != nullptr) {
+    planner.provisioner.set_metrics(&tel->metrics);
+    planner.provisioner.set_journal(&tel->journal);
+  }
+  return planner;
+}
+
 std::optional<JobReport> TrainingService::submit(const ddnn::WorkloadSpec& workload,
                                                  const core::ProvisionGoal& goal) {
   JobReport report;
 
   // 1+2: performance predictor (profile + loss fit).
-  const auto& baseline = catalog_->at(options_.baseline_type);
-  core::Predictor predictor = core::Predictor::build(workload, baseline, options_.predictor);
-  report.profiling_seconds = predictor.profile().profiling_time.value();
+  JobPlanner planner = build_planner(workload);
+  report.profiling_seconds = planner.profiling_time.value();
 
   // 3: Algorithm 1 (timed with the host clock — the paper's Sec. 5.3
   // overhead metric).
-  auto types = options_.instance_types;
-  if (types.empty()) types = catalog_->provisionable();
-  core::Provisioner provisioner(predictor.model(), predictor.loss(), types);
   telemetry::Telemetry* tel = options_.training.telemetry;
-  if (tel != nullptr) {
-    provisioner.set_metrics(&tel->metrics);
-    provisioner.set_journal(&tel->journal);
-  }
   // Wall-clock here times the planner itself (an overhead metric reported to
   // the operator); it never feeds back into simulated time, so determinism of
   // the simulation is unaffected.
   const auto t0 = std::chrono::steady_clock::now();  // cynthia-lint: allow(DET-001) — self-timing
-  report.plan = provisioner.plan(workload.sync, goal);
+  report.plan = planner.provisioner.plan(workload.sync, goal);
   report.planning_seconds =  // cynthia-lint: allow(DET-001) — self-timing, not simulated time
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!report.plan.feasible) return std::nullopt;
@@ -89,16 +102,8 @@ std::optional<FaultRunReport> TrainingService::submit_with_faults(
     const ddnn::WorkloadSpec& workload, const core::ProvisionGoal& goal,
     const faults::FaultSchedule& schedule, RecoveryOptions recovery) {
   // Steps 1-3 of submit(): predictor, then Algorithm 1.
-  const auto& baseline = catalog_->at(options_.baseline_type);
-  core::Predictor predictor = core::Predictor::build(workload, baseline, options_.predictor);
-  auto types = options_.instance_types;
-  if (types.empty()) types = catalog_->provisionable();
-  core::Provisioner provisioner(predictor.model(), predictor.loss(), types);
-  if (telemetry::Telemetry* tel = options_.training.telemetry; tel != nullptr) {
-    provisioner.set_metrics(&tel->metrics);
-    provisioner.set_journal(&tel->journal);
-  }
-  const core::ProvisionPlan plan = provisioner.plan(workload.sync, goal);
+  const JobPlanner planner = build_planner(workload);
+  const core::ProvisionPlan plan = planner.provisioner.plan(workload.sync, goal);
   if (!plan.feasible) return std::nullopt;
 
   // Steps 4-6 move into the recovery controller, which owns provisioning,
@@ -106,7 +111,7 @@ std::optional<FaultRunReport> TrainingService::submit_with_faults(
   recovery.seed = options_.seed;
   recovery.training = options_.training;
   RecoveryController controller(recovery);
-  return controller.run(workload, plan, schedule, goal, &provisioner);
+  return controller.run(workload, plan, schedule, goal, &planner.provisioner);
 }
 
 }  // namespace cynthia::orch

@@ -69,6 +69,13 @@ class TrainingService {
                                                    RecoveryOptions recovery = {});
 
  private:
+  /// Steps 1-3 up to the search, shared by both entry points: the
+  /// predictor build (profile + loss fit) and an Algorithm 1 provisioner
+  /// over the service's instance types with the run's metrics and journal
+  /// attached.
+  struct JobPlanner;
+  [[nodiscard]] JobPlanner build_planner(const ddnn::WorkloadSpec& workload) const;
+
   const cloud::Catalog* catalog_;
   ServiceOptions options_;
 };

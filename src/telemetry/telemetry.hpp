@@ -5,8 +5,8 @@
 // single pointer test and the run behaves byte-identically to an
 // uninstrumented build. One Telemetry per run, like one Simulator per run;
 // the metrics side is nevertheless thread-safe (wait-free instrument
-// sites) so benches may aggregate across ThreadPool workers. The tracer
-// remains single-threaded — keep one Tracer per run.
+// sites) so callers may aggregate across threads. The tracer remains
+// single-threaded — keep one Tracer per run.
 //
 // Layer conventions (what the instrumented code records):
 //   * ddnn::trainer — spans "compute"/"barrier"/"wait" on track "wk<j>.cpu",
@@ -24,6 +24,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/table.hpp"
+#include "util/units.hpp"
 
 namespace cynthia::telemetry {
 
@@ -102,12 +103,41 @@ struct Telemetry {
   Tracer tracer;
   Journal journal;
 
-  /// Shifts both sim-time sinks onto the same composed timeline (segmented
-  /// runs: provisioning, then training; or per-segment sentinel legs).
+  /// Sets both sim-time sinks' offset so phases simulated on separate
+  /// clocks share one composed timeline. Segmented runs shift through
+  /// ScopedTimeOffset; advance_time_offset() moves the timeline for good.
   void set_time_offset(double seconds) {
     tracer.set_time_offset(seconds);
     journal.set_time_offset(seconds);
   }
+
+  /// Moves the composed timeline forward by `by` for every later record
+  /// (provisioning, then training; back-to-back runs on one trace).
+  void advance_time_offset(util::Seconds by) {
+    set_time_offset(tracer.time_offset() + by.value());
+  }
+};
+
+/// Shifts a sink's sim-time offset by `shift` for one scope — a segment
+/// simulated on its own clock that starts `shift` into the job — and
+/// restores the previous offset on every exit, a throw included. A null
+/// sink makes it a no-op.
+class ScopedTimeOffset {
+ public:
+  ScopedTimeOffset(Telemetry* tel, util::Seconds shift) : tel_(tel) {
+    if (tel_ == nullptr) return;
+    saved_ = util::Seconds{tel_->tracer.time_offset()};
+    tel_->set_time_offset(saved_.value() + shift.value());
+  }
+  ~ScopedTimeOffset() {
+    if (tel_ != nullptr) tel_->set_time_offset(saved_.value());
+  }
+  ScopedTimeOffset(const ScopedTimeOffset&) = delete;
+  ScopedTimeOffset& operator=(const ScopedTimeOffset&) = delete;
+
+ private:
+  Telemetry* tel_;
+  util::Seconds saved_{0.0};
 };
 
 /// Per-run breakdown in the shape of the paper's Fig. 3 decomposition:

@@ -1,12 +1,10 @@
 // Unit tests for the cloud substrate: catalog, capability table, pricing,
-// billing meter, netperf.
+// billing meter.
 #include <gtest/gtest.h>
 
 #include "cloud/capability.hpp"
 #include "cloud/instance.hpp"
-#include "cloud/netperf.hpp"
 #include "cloud/pricing.hpp"
-#include "util/rng.hpp"
 
 namespace cc = cynthia::cloud;
 namespace cu = cynthia::util;
@@ -151,22 +149,3 @@ TEST(Billing, RestartAfterStopAllowed) {
   EXPECT_NEAR(meter.total(cu::hours(3)).value(), 0.40, 1e-9);
 }
 
-// ----------------------------------------------------------------- netperf
-
-TEST(Netperf, MeasuresMinOfEndpointNics) {
-  const auto& cat = cc::Catalog::aws();
-  cu::Rng rng(5);
-  const auto r = cc::netperf(cat.at("m4.xlarge"), cat.at("m1.xlarge"), rng, 0.0);
-  EXPECT_DOUBLE_EQ(r.throughput.value(), cat.at("m1.xlarge").nic_mbps.value());
-  EXPECT_GT(r.duration.value(), 0.0);
-}
-
-TEST(Netperf, NoiseIsBounded) {
-  const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
-  cu::Rng rng(6);
-  for (int i = 0; i < 200; ++i) {
-    const double v = cc::measure_nic(m4, rng, 0.02).value();
-    EXPECT_GE(v, m4.nic_mbps.value() * 0.98 - 1e-9);
-    EXPECT_LE(v, m4.nic_mbps.value() * 1.02 + 1e-9);
-  }
-}

@@ -3,6 +3,8 @@
 // accuracy against the simulated testbed.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cloud/instance.hpp"
 #include "core/perf_model.hpp"
 #include "core/predictor.hpp"
@@ -135,6 +137,13 @@ struct AccuracyCase {
   long iterations;
   double tolerance;  // relative
 };
+
+// Prints the case by value, so the test names are the same on every run
+// (gtest's default byte dump shows the workload pointer and the padding).
+void PrintTo(const AccuracyCase& c, std::ostream* os) {
+  *os << "(\"" << c.workload << "\", " << c.n_workers << ", " << c.n_ps << ", "
+      << (c.hetero ? "hetero" : "homo") << ", " << c.iterations << ", " << c.tolerance << ")";
+}
 
 class PredictionAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 

@@ -327,6 +327,90 @@ TEST(RecoveryController, ElasticReplansAfterPsCrash) {
     prev = sample.iteration;
   }
   EXPECT_TRUE(report.time_goal_met);
+
+  // Exact merge checks. Re-run with a slowdown that lands one second into
+  // segment two, then rebuild both segments independently: segment one is
+  // the original cluster cut at the crash, segment two the replacement
+  // cluster resuming from segment one's durable (checkpointed) count.
+  const double crash_at = 3.0;
+  cf::FaultSchedule with_tail = schedule;
+  cf::FaultSpec slow;
+  slow.kind = cf::FaultKind::kSlowdown;
+  slow.target = 0;
+  slow.time_seconds = report.resume_at + 1.0;
+  slow.recovery_seconds = 2.0;
+  with_tail.add(slow);
+  const auto merged_report = controller.run(w, plan, with_tail, goal, &provisioner);
+  ASSERT_EQ(merged_report.resume_at, report.resume_at) << "later events must not move the splice";
+  const double resume_at = merged_report.resume_at;
+  const core::ProvisionPlan& next = merged_report.replacement_plan;
+
+  cd::TrainOptions o1;
+  o1.iterations = plan.total_iterations;
+  o1.seed = options.seed;
+  o1.faults = &with_tail;
+  o1.stop_after_seconds = crash_at;
+  const auto seg1 = cd::run_training(cd::ClusterSpec::homogeneous(plan.type, 4, 1), w, o1);
+  const long durable = seg1.iterations;
+  EXPECT_LT(durable, plan.total_iterations);
+  EXPECT_EQ(durable % 50, 0) << "the PS crash rolls back to a checkpoint multiple";
+  EXPECT_EQ(next.total_iterations, plan.total_iterations - durable);
+
+  cf::FaultSchedule tail;
+  cf::FaultSpec shifted = slow;
+  shifted.time_seconds = slow.time_seconds - resume_at;
+  tail.add(shifted);
+  cd::TrainOptions o2;
+  o2.iterations = next.total_iterations;
+  o2.seed = options.seed + 1;
+  o2.faults = &tail;
+  o2.loss_iteration_offset = durable;
+  const auto seg2 = cd::run_training(
+      cd::ClusterSpec::homogeneous(next.type, next.n_workers, next.n_ps), w, o2);
+  ASSERT_EQ(seg2.faults.slowdowns, 1) << "the tail slowdown must fire inside segment two";
+
+  const auto& merged = merged_report.training;
+  EXPECT_EQ(merged.iterations, durable + seg2.iterations);
+  EXPECT_EQ(merged.iterations, plan.total_iterations);
+  EXPECT_EQ(merged.total_time, resume_at + seg2.total_time);
+  // The whole crash -> resume window counts as outage, on top of each
+  // segment's own.
+  EXPECT_EQ(merged.faults.outage_seconds,
+            seg1.faults.outage_seconds + seg2.faults.outage_seconds + (resume_at - crash_at));
+  EXPECT_GE(merged.faults.outage_seconds, resume_at - crash_at);
+  // Fired segment-one events keep their times; segment-two events move onto
+  // the job clock.
+  std::size_t fired1 = 0;
+  for (const auto& e : seg1.faults.events) fired1 += e.fired ? 1 : 0;
+  ASSERT_EQ(merged.faults.events.size(), fired1 + seg2.faults.events.size());
+  EXPECT_EQ(merged.faults.events[0].injected_at, seg1.faults.events[0].injected_at);
+  for (std::size_t j = 0; j < seg2.faults.events.size(); ++j) {
+    const auto& in_seg = seg2.faults.events[j];
+    const auto& on_job = merged.faults.events[fired1 + j];
+    EXPECT_EQ(on_job.spec.time_seconds, in_seg.spec.time_seconds + resume_at);
+    ASSERT_TRUE(on_job.fired);
+    EXPECT_EQ(on_job.injected_at, in_seg.injected_at + resume_at);
+    EXPECT_GT(on_job.injected_at, resume_at);
+    if (in_seg.recovered_at >= 0.0) {
+      EXPECT_EQ(on_job.recovered_at, in_seg.recovered_at + resume_at);
+    } else {
+      EXPECT_LT(on_job.recovered_at, 0.0) << "still active at the end stays open";
+    }
+  }
+  // Strictly increasing curve: segment one up to the checkpoint, then
+  // segment two's samples on the global iteration axis.
+  ASSERT_FALSE(merged.loss_curve.empty());
+  for (std::size_t i = 1; i < merged.loss_curve.size(); ++i) {
+    EXPECT_LT(merged.loss_curve[i - 1].iteration, merged.loss_curve[i].iteration);
+  }
+  std::size_t from_seg1 = 0;
+  for (const auto& sample : seg1.loss_curve) from_seg1 += sample.iteration <= durable ? 1 : 0;
+  ASSERT_EQ(merged.loss_curve.size(), from_seg1 + seg2.loss_curve.size());
+  for (std::size_t i = 0; i < seg2.loss_curve.size(); ++i) {
+    EXPECT_EQ(merged.loss_curve[from_seg1 + i].iteration, seg2.loss_curve[i].iteration);
+    EXPECT_EQ(merged.loss_curve[from_seg1 + i].loss, seg2.loss_curve[i].loss);
+  }
+  EXPECT_EQ(merged.loss_curve.back().iteration, plan.total_iterations);
 }
 
 TEST(RecoveryController, ElasticWithoutProvisionerThrows) {

@@ -1,5 +1,5 @@
 // Bit-identical equivalence of the optimized planner hot path (memoized +
-// bound-pruned + parallel) against the unoptimized reference scan, across
+// bound-pruned) against the unoptimized reference scan, across
 // the workload x instance x sync-mode matrix. The optimizations are only
 // admissible because they provably never change the chosen plan
 // (docs/PERF.md gives the pruning-safety argument); these tests pin that
@@ -57,25 +57,16 @@ std::vector<Case> paper_cases() {
   return cases;
 }
 
-// The pre-PR behavior: every candidate evaluated through the model, serially.
+// The unoptimized reference: every candidate evaluated through the model.
 co::ProvisionOptions reference_options() {
   co::ProvisionOptions o;
   o.use_cache = false;
   o.prune = false;
-  o.parallel_eval = false;
   return o;
 }
 
-// Default hot path (cache + prune; serial below the dispatch threshold).
+// Default hot path (cache + prune).
 co::ProvisionOptions optimized_options() { return {}; }
-
-// Forces the thread-pool path regardless of grid size, so the deterministic
-// reduction is exercised even for small searches.
-co::ProvisionOptions parallel_options() {
-  co::ProvisionOptions o;
-  o.parallel_min_candidates = 1;
-  return o;
-}
 
 void expect_same_prediction(const co::IterationPrediction& a, const co::IterationPrediction& b) {
   EXPECT_EQ(a.t_comp, b.t_comp);
@@ -117,11 +108,9 @@ TEST(PlannerEquiv, BoundedPlanBitIdenticalAcrossMatrix) {
     const auto prov = make_provisioner(c.workload, c.mode);
     const auto reference = prov.plan(c.mode, c.goal, reference_options());
     const auto optimized = prov.plan(c.mode, c.goal, optimized_options());
-    const auto parallel = prov.plan(c.mode, c.goal, parallel_options());
     // Second optimized call answers fully from the warm cache.
     const auto warm = prov.plan(c.mode, c.goal, optimized_options());
     expect_same_plan(reference, optimized);
-    expect_same_plan(reference, parallel);
     expect_same_plan(reference, warm);
   }
 }
@@ -132,12 +121,9 @@ TEST(PlannerEquiv, ExhaustivePlanBitIdenticalAcrossMatrix) {
     const auto prov = make_provisioner(c.workload, c.mode);
     auto reference = reference_options();
     auto optimized = optimized_options();
-    auto parallel = parallel_options();
-    reference.exhaustive = optimized.exhaustive = parallel.exhaustive = true;
+    reference.exhaustive = optimized.exhaustive = true;
     expect_same_plan(prov.plan(c.mode, c.goal, reference),
                      prov.plan(c.mode, c.goal, optimized));
-    expect_same_plan(prov.plan(c.mode, c.goal, reference),
-                     prov.plan(c.mode, c.goal, parallel));
   }
 }
 
@@ -157,10 +143,7 @@ TEST(PlannerEquiv, ReplanBitIdenticalUnderDegradationMatrix) {
                 prov.replan(mode, remaining, budget, reference_options(), deg);
             const auto optimized =
                 prov.replan(mode, remaining, budget, optimized_options(), deg);
-            const auto parallel =
-                prov.replan(mode, remaining, budget, parallel_options(), deg);
             expect_same_plan(reference, optimized);
-            expect_same_plan(reference, parallel);
           }
         }
       }
@@ -173,37 +156,45 @@ TEST(PlannerEquiv, InfeasibleGoalAgreesAcrossPaths) {
   const co::ProvisionGoal goal{cu::Seconds{30.0}, 0.8};  // nothing trains VGG in 30 s
   EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, reference_options()).feasible);
   EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, optimized_options()).feasible);
-  EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, parallel_options()).feasible);
 }
 
-TEST(PlannerEquiv, TraceDeterministicUnderParallelEvaluation) {
+TEST(PlannerEquiv, TraceInCatalogThenScanOrderAcrossCacheStates) {
   const auto prov = make_provisioner("cifar10", cd::SyncMode::BSP);
   const co::ProvisionGoal goal{cu::minutes(90), 0.8};
-  // Pruning off so the trace covers the full grid; parallel vs serial must
-  // emit the identical candidate sequence (catalog order, then scan order).
-  auto serial = reference_options();
-  serial.keep_trace = true;
-  auto parallel = parallel_options();
-  parallel.keep_trace = true;
-  parallel.prune = false;
+  // Pruning off so the trace covers the full grid; the uncached reference,
+  // a cold-cache and two warm-cache scans must emit the identical candidate
+  // sequence (catalog order, then scan order).
+  auto reference = reference_options();
+  reference.keep_trace = true;
+  auto cached = optimized_options();
+  cached.keep_trace = true;
+  cached.prune = false;
 
-  (void)prov.plan(cd::SyncMode::BSP, goal, serial);
-  const std::vector<co::CandidateEvaluation> serial_trace = prov.considered();
-  ASSERT_FALSE(serial_trace.empty());
+  (void)prov.plan(cd::SyncMode::BSP, goal, reference);
+  const std::vector<co::CandidateEvaluation> reference_trace = prov.considered();
+  ASSERT_FALSE(reference_trace.empty());
+
+  // Each type's candidates form one contiguous block, in catalog order.
+  const auto types = cc::Catalog::aws().provisionable();
+  std::size_t type_index = 0;
+  for (const auto& c : reference_trace) {
+    while (type_index < types.size() && types[type_index].name != c.type) ++type_index;
+    ASSERT_LT(type_index, types.size()) << c.type << " out of catalog order";
+  }
 
   for (int run = 0; run < 3; ++run) {
-    (void)prov.plan(cd::SyncMode::BSP, goal, parallel);
+    (void)prov.plan(cd::SyncMode::BSP, goal, cached);
     const auto& trace = prov.considered();
-    ASSERT_EQ(trace.size(), serial_trace.size()) << "run " << run;
+    ASSERT_EQ(trace.size(), reference_trace.size()) << "run " << run;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      EXPECT_EQ(trace[i].type, serial_trace[i].type) << "entry " << i;
-      EXPECT_EQ(trace[i].n_workers, serial_trace[i].n_workers) << "entry " << i;
-      EXPECT_EQ(trace[i].n_ps, serial_trace[i].n_ps) << "entry " << i;
-      EXPECT_EQ(trace[i].iterations, serial_trace[i].iterations) << "entry " << i;
-      EXPECT_EQ(trace[i].t_iter, serial_trace[i].t_iter) << "entry " << i;
-      EXPECT_EQ(trace[i].total_time, serial_trace[i].total_time) << "entry " << i;
-      EXPECT_EQ(trace[i].cost, serial_trace[i].cost) << "entry " << i;
-      EXPECT_EQ(trace[i].feasible, serial_trace[i].feasible) << "entry " << i;
+      EXPECT_EQ(trace[i].type, reference_trace[i].type) << "entry " << i;
+      EXPECT_EQ(trace[i].n_workers, reference_trace[i].n_workers) << "entry " << i;
+      EXPECT_EQ(trace[i].n_ps, reference_trace[i].n_ps) << "entry " << i;
+      EXPECT_EQ(trace[i].iterations, reference_trace[i].iterations) << "entry " << i;
+      EXPECT_EQ(trace[i].t_iter, reference_trace[i].t_iter) << "entry " << i;
+      EXPECT_EQ(trace[i].total_time, reference_trace[i].total_time) << "entry " << i;
+      EXPECT_EQ(trace[i].cost, reference_trace[i].cost) << "entry " << i;
+      EXPECT_EQ(trace[i].feasible, reference_trace[i].feasible) << "entry " << i;
     }
   }
 }

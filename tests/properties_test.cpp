@@ -36,7 +36,9 @@ const cynthia::profiler::ProfileResult& profile_of(const std::string& name) {
 
 // ------------------------------------------- trainer conservation laws
 
-using GridPoint = std::tuple<const char*, int, int>;  // workload, workers, ps
+// The workload is a std::string, not a const char*, so the parameter prints
+// by value and the test names are the same on every run.
+using GridPoint = std::tuple<std::string, int, int>;  // workload, workers, ps
 
 class TrainerConservation : public ::testing::TestWithParam<GridPoint> {};
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cloud/instance.hpp"
@@ -183,6 +184,41 @@ TEST(Tracer, TimeOffsetSequencesPhasesOnOneTimeline) {
   tr.instant("t", "mark", "trainer", 2.0);
   EXPECT_DOUBLE_EQ(tr.events()[1].start, 10.0);
   EXPECT_DOUBLE_EQ(tr.events()[2].start, 12.0);
+}
+
+TEST(ScopedTimeOffset, ShiftsBothSinksAndRestoresOnScopeExit) {
+  ct::Telemetry tel;
+  tel.advance_time_offset(cynthia::util::Seconds{10.0});
+  {
+    const ct::ScopedTimeOffset shift(&tel, cynthia::util::Seconds{5.0});
+    EXPECT_EQ(tel.tracer.time_offset(), 15.0);
+    EXPECT_EQ(tel.journal.time_offset(), 15.0);
+    tel.tracer.instant("t", "mark", "trainer", 1.0);
+  }
+  EXPECT_EQ(tel.tracer.time_offset(), 10.0);
+  EXPECT_EQ(tel.journal.time_offset(), 10.0);
+  ASSERT_EQ(tel.tracer.events().size(), 1u);
+  EXPECT_EQ(tel.tracer.events()[0].start, 16.0);
+}
+
+TEST(ScopedTimeOffset, RestoresWhenTheScopeThrows) {
+  ct::Telemetry tel;
+  tel.advance_time_offset(cynthia::util::Seconds{2.5});
+  EXPECT_THROW(
+      {
+        const ct::ScopedTimeOffset shift(&tel, cynthia::util::Seconds{100.0});
+        EXPECT_EQ(tel.tracer.time_offset(), 102.5);
+        throw std::runtime_error("segment failed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(tel.tracer.time_offset(), 2.5);
+  EXPECT_EQ(tel.journal.time_offset(), 2.5);
+}
+
+TEST(ScopedTimeOffset, NullSinkIsANoOp) {
+  // Uninstrumented runs pass a null sink; the guard must not dereference it
+  // on entry or on exit.
+  EXPECT_NO_THROW({ const ct::ScopedTimeOffset shift(nullptr, cynthia::util::Seconds{7.0}); });
 }
 
 // Minimal recursive-descent JSON validator: enough to prove the exported

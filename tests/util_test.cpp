@@ -1,8 +1,7 @@
 // Unit tests for the util library: units, rng, stats, least squares,
-// table/CSV formatting, rate traces, thread pool.
+// table/CSV formatting, rate traces.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -11,11 +10,9 @@
 
 #include "util/csv.hpp"
 #include "util/least_squares.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/time_series.hpp"
 #include "util/units.hpp"
 
@@ -406,74 +403,4 @@ TEST(RateTrace, VolumeConservedAcrossBucketBoundaries) {
   for (const auto& b : t.buckets()) bucket_volume += b.value * b.width;
   EXPECT_NEAR(bucket_volume, expected, 1e-6);
   EXPECT_NEAR(t.total_volume(), expected, 1e-6);
-}
-
-// ----------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  cu::ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  cu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  cu::ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  cu::ThreadPool pool(8);
-  std::atomic<long> total{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 500; ++i) {
-    futs.push_back(pool.submit([&total, i] { total.fetch_add(i); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(total.load(), 500L * 499 / 2);
-}
-
-// ---------------------------------------------------------------- log
-
-TEST(Log, LevelThresholdRespected) {
-  const auto prev = cu::log_level();
-  cu::set_log_level(cu::LogLevel::Error);
-  EXPECT_EQ(cu::log_level(), cu::LogLevel::Error);
-  // No crash on suppressed and emitted paths.
-  cu::log_message(cu::LogLevel::Debug, "test", "suppressed");
-  cu::log_message(cu::LogLevel::Error, "test", "emitted");
-  cu::Logger logger("test");
-  logger.debug() << "suppressed " << 42;
-  cu::set_log_level(prev);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Debug), "DEBUG");
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Warn), "WARN");
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Off), "OFF");
-}
-
-TEST(Log, ParseLevelAcceptsAnyCaseAndAliases) {
-  EXPECT_EQ(cu::parse_log_level("debug"), cu::LogLevel::Debug);
-  EXPECT_EQ(cu::parse_log_level("INFO"), cu::LogLevel::Info);
-  EXPECT_EQ(cu::parse_log_level("Warning"), cu::LogLevel::Warn);
-  EXPECT_EQ(cu::parse_log_level("error"), cu::LogLevel::Error);
-  EXPECT_EQ(cu::parse_log_level("none"), cu::LogLevel::Off);
-  EXPECT_EQ(cu::parse_log_level("verbose"), std::nullopt);
-  EXPECT_EQ(cu::parse_log_level(""), std::nullopt);
-}
-
-TEST(Log, TimestampToggle) {
-  const bool prev = cu::log_timestamps();
-  cu::set_log_timestamps(true);
-  EXPECT_TRUE(cu::log_timestamps());
-  cu::log_message(cu::LogLevel::Error, "test", "timestamped line, no crash");
-  cu::set_log_timestamps(prev);
 }
